@@ -20,6 +20,7 @@ per-semantics free functions are deprecated shims over it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, Iterator, Mapping
@@ -34,12 +35,22 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
 from repro.errors import GroundingError, SemanticsError
-from repro.ground.backend import BACKENDS
 from repro.io.artifact import ArtifactCache, cache_key, load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
 
-__all__ = ["Engine", "solve", "enumerate_solutions"]
+__all__ = ["BACKENDS", "Engine", "solve", "enumerate_solutions"]
+
+#: Kernel names accepted by ``backend=`` (the ``Engine`` argument, solve
+#: options, the wire field, ``--backend``).  There is one evaluation
+#: kernel: a known name is checked and then ignored, so callers written
+#: against the old ``python`` / ``array`` / ``auto`` choice keep working.
+BACKENDS = ("python", "array", "auto")
+
+# Solutions kept per engine for repeated (semantics, options) solves.
+# Each holds its evaluation state, so the bound caps memory on a
+# long-running server answering many distinct seeds.
+_SOLUTION_CACHE_SIZE = 8
 
 
 class Engine:
@@ -58,13 +69,9 @@ class Engine:
     (program hash, mode, pool fingerprint) and warm-starts from it; after
     a fresh grounding, the artifact is written back for the next process.
 
-    ``backend`` fixes the default evaluation kernel for the semantics
-    that run on the ground graph: ``"python"`` (the portable pure-Python
-    kernel, the default), ``"array"`` (the NumPy-vectorized kernel;
-    raises :class:`~repro.errors.BackendUnavailableError` when numpy is
-    not importable), or ``"auto"`` (array when numpy is available and
-    the graph is large enough to amortize vectorization, python
-    otherwise).  A per-call ``backend=`` option overrides it.
+    ``backend`` is accepted for compatibility: any name in
+    :data:`BACKENDS` (or ``None``) selects the one evaluation kernel;
+    other names raise :class:`~repro.errors.SemanticsError`.
     """
 
     def __init__(
@@ -92,7 +99,6 @@ class Engine:
             raise SemanticsError(
                 f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
             )
-        self.default_backend = backend
         self.ground_calls = 0
         self.index_builds = 0
         self.artifact_hits = 0
@@ -109,7 +115,7 @@ class Engine:
         # the same constant → dense-id mapping (and hence row encodings).
         self._pool = ConstantPool()
         self._ground_cache: dict[GroundingMode, GroundProgram] = {}
-        self._solution_cache: dict[tuple, Solution] = {}
+        self._solution_cache: OrderedDict[tuple, Solution] = OrderedDict()
         self.solution_cache_hits = 0
         self._pinned = ground_program
         if ground_program is not None:
@@ -306,8 +312,6 @@ class Engine:
         max_instances = options.pop("max_instances", None)
         if "policy" in spec.options and options.get("policy") is None:
             options["policy"] = self.default_policy
-        if "backend" in spec.options and options.get("backend") is None:
-            options["backend"] = self.default_backend
         # ``limit`` is engine-managed and only meaningful when enumerating;
         # on solve() it is rejected like any other unknown option.
         checked = {k: v for k, v in options.items() if not (enumerating and k == "limit")}
@@ -320,6 +324,22 @@ class Engine:
             gp=lambda: self.ground_for(grounding, max_instances=max_instances),
             options=options,
         )
+
+    @staticmethod
+    def _drop_backend(spec: SemanticsSpec, options: Mapping[str, Any]) -> dict[str, Any]:
+        """``options`` without ``backend``, once its name is checked.
+
+        Semantics that never accepted the option keep it, so
+        :func:`_check_options` rejects it there as before.
+        """
+        options = dict(options)
+        if "backend" in spec.options:
+            backend = options.pop("backend", None)
+            if backend is not None and backend not in BACKENDS:
+                raise SemanticsError(
+                    f"unknown kernel backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+                )
+        return options
 
     @staticmethod
     def _cache_key(spec: SemanticsSpec, options: Mapping[str, Any]) -> tuple | None:
@@ -369,23 +389,29 @@ class Engine:
 
         Results are cached per (semantics, options): repeated solves — and
         the ``query``/``query_many``/``explain`` helpers built on them —
-        reuse the first computation.  Pass a policy with a different seed
-        for an independent nondeterministic run.
+        reuse the first computation.  The cache keeps the most recently
+        used few option sets.  Pass a policy with a different seed for an
+        independent nondeterministic run.
         """
         spec = get_spec(semantics)
+        options = self._drop_backend(spec, options)
         key = self._cache_key(spec, options)
+        cache = self._solution_cache
         if key is not None:
-            cached = self._solution_cache.get(key)
+            cached = cache.get(key)
             if cached is not None:
+                cache.move_to_end(key)
                 self.solution_cache_hits += 1
                 return cached
-        request = self._request(spec, dict(options))
+        request = self._request(spec, options)
         t0 = perf_counter()
         solution = spec.solver(request)
         solution = solution.replace(grounding=request.grounding)
         solution = self._finalize(solution, perf_counter() - t0)
         if key is not None:
-            self._solution_cache[key] = solution
+            cache[key] = solution
+            if len(cache) > _SOLUTION_CACHE_SIZE:
+                cache.popitem(last=False)
         return solution
 
     def enumerate(
@@ -401,7 +427,7 @@ class Engine:
         uniformly.
         """
         spec = get_spec(semantics)
-        all_options = dict(options)
+        all_options = self._drop_backend(spec, options)
         all_options["limit"] = limit
         request = self._request(spec, all_options, enumerating=True)
         if spec.enumerator is None:
@@ -649,7 +675,6 @@ class Engine:
     def stats(self) -> dict[str, Any]:
         """Pipeline counters: how often the engine actually compiled."""
         return {
-            "backend": self.default_backend or "python",
             "ground_calls": self.ground_calls,
             "index_builds": self.index_builds,
             "artifact_hits": self.artifact_hits,

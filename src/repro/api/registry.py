@@ -151,7 +151,6 @@ def _solve_well_founded(req: SolveRequest) -> Solution:
         req.program,
         req.database,
         ground_program=req.gp(),
-        backend=req.options.get("backend"),
     )
     return Solution.from_interpretation(
         "well_founded",
@@ -183,7 +182,6 @@ def _solve_tie_breaking(req: SolveRequest) -> Solution:
         req.database,
         policy=req.options.get("policy"),
         ground_program=req.gp(),
-        backend=req.options.get("backend"),
     )
     return _tie_solution("tie_breaking", run)
 
@@ -196,7 +194,6 @@ def _solve_pure_tie_breaking(req: SolveRequest) -> Solution:
         req.database,
         policy=req.options.get("policy"),
         ground_program=req.gp(),
-        backend=req.options.get("backend"),
     )
     return _tie_solution("pure_tie_breaking", run)
 

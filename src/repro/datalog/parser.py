@@ -14,7 +14,7 @@ Lexical rules:
 
 * ``VARIABLE``  — identifier starting with an uppercase letter or ``_``;
 * ``CONSTANT``  — identifier starting with a lowercase letter;
-* ``INTEGER``   — optional ``-`` followed by digits;
+* ``INTEGER``   — optional ``-`` followed by ASCII digits ``0``-``9``;
 * ``STRING``    — double-quoted, no escapes;
 * comments run from ``%`` or ``#`` to end of line.
 
@@ -40,6 +40,7 @@ __all__ = ["parse_program", "parse_rules", "parse_database", "parse_atom"]
 _PUNCT = {":-": "IMPLIES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
 _NEGATION_WORDS = {"not"}
 _NEGATION_SYMBOLS = {"!", "¬", "\\+"}
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +98,9 @@ def _tokenize(source: str) -> Iterator[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             yield _Token("INTEGER", source[i:j], line, col)
             col += j - i

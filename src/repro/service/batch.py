@@ -33,15 +33,14 @@ from dataclasses import dataclass
 from multiprocessing.pool import AsyncResult, Pool
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.api.engine import Engine
+from repro.api.engine import BACKENDS, Engine
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
 from repro.errors import ReproError, SessionLimitError, SolveTimeoutError, ValidationError
-from repro.ground.backend import BACKENDS
 from repro.io.artifact import program_fingerprint, read_artifact_header
 from repro.io.json_io import solution_to_obj
 from repro.semantics.choices import (
@@ -100,8 +99,9 @@ class BatchRequest:
     * ``semantics`` — any registry name or alias (default
       ``tie_breaking``);
     * ``grounding`` — per-request grounding mode override, if any;
-    * ``backend`` — per-request kernel backend override (``python``,
-      ``array``, or ``auto``); the serving engine's default otherwise;
+    * ``backend`` — accepted for compatibility (``python``, ``array``,
+      or ``auto``): checked, echoed by :meth:`to_obj`, and otherwise
+      ignored, since there is one evaluation kernel;
     * ``policy`` / ``seed`` — tie-orientation policy by name
       (``first_side_true``, ``second_side_true``, ``fewest_true``,
       ``most_true``, ``random``) and the seed for ``random``; a bare
@@ -361,8 +361,6 @@ def solve_one(
         options: dict[str, Any] = {}
         if request.grounding is not None:
             options["grounding"] = request.grounding
-        if request.backend is not None:
-            options["backend"] = request.backend
         policy = request.resolve_policy()
         if policy is not None:
             options["policy"] = policy
@@ -431,11 +429,9 @@ _WORKER_ENGINE: Engine | None = None
 _WORKER_TIMEOUT_S: float | None = None
 
 
-def _worker_init(
-    artifact_path: str, timeout_s: float | None = None, backend: str | None = None
-) -> None:
+def _worker_init(artifact_path: str, timeout_s: float | None = None) -> None:
     global _WORKER_ENGINE, _WORKER_TIMEOUT_S
-    _WORKER_ENGINE = Engine.from_artifact(artifact_path, backend=backend)
+    _WORKER_ENGINE = Engine.from_artifact(artifact_path)
     _WORKER_TIMEOUT_S = timeout_s
 
 
@@ -476,8 +472,8 @@ class BatchSolver:
       a request whose solve exceeds it is answered with a structured
       ``"error_kind": "timeout"`` result, enforced by ``SIGALRM`` inline
       and inside every worker process;
-    * ``backend`` — default kernel backend for every serving engine
-      (inline and in each worker); per-request ``backend`` overrides it;
+    * ``backend`` — accepted for compatibility and checked against
+      :data:`~repro.api.engine.BACKENDS`; there is one evaluation kernel;
     * ``chunksize`` — requests handed to a worker per dispatch.  The
       default 1 maximizes load balancing: per-task IPC is microseconds
       while solves are typically milliseconds, so at every measured batch
@@ -511,7 +507,6 @@ class BatchSolver:
         self.workers = workers
         self.timeout_s = timeout_s
         self.chunksize = chunksize
-        self.backend = backend
         self._pool: Pool | None = None
         self._engine: Engine | None = None
         self._owns_artifact = False
@@ -525,7 +520,7 @@ class BatchSolver:
                 self._check_artifact_matches(path, program, database)
             self._artifact_path = path  # inline engine loads lazily (see .engine)
         elif program is not None:
-            engine = Engine(program, database, grounding=grounding, backend=backend)
+            engine = Engine(program, database, grounding=grounding)
             if path is None:
                 fd, tmp = tempfile.mkstemp(prefix="repro-ground-", suffix=".repro-ground")
                 os.close(fd)
@@ -568,7 +563,7 @@ class BatchSolver:
         parent process.
         """
         if self._engine is None:
-            self._engine = Engine.from_artifact(self._artifact_path, backend=self.backend)
+            self._engine = Engine.from_artifact(self._artifact_path)
         return self._engine
 
     def _ensure_pool(self) -> Pool:
@@ -579,7 +574,7 @@ class BatchSolver:
             self._pool = get_context().Pool(
                 processes=self.workers,
                 initializer=_worker_init,
-                initargs=(str(self._artifact_path), self.timeout_s, self.backend),
+                initargs=(str(self._artifact_path), self.timeout_s),
             )
         return self._pool
 

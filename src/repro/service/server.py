@@ -152,7 +152,7 @@ class ReproServer:
         if session_cache is not None and not isinstance(session_cache, ArtifactCache):
             session_cache = ArtifactCache(session_cache)
         self.sessions = SessionManager(
-            lambda: Engine.from_artifact(self.solver.artifact_path, backend=backend),
+            lambda: Engine.from_artifact(self.solver.artifact_path),
             ttl_s=session_ttl_s,
             max_sessions=max_sessions,
             cache=session_cache,

@@ -209,6 +209,27 @@ class TestSolutionCache:
         # Same self-describing policy spec -> cache hit.
         assert engine.solve("tie_breaking", policy=RandomChoice(1)) is a
 
+    def test_cache_is_bounded(self):
+        """Distinct seeds evict the least recently used entries."""
+        from repro.semantics.choices import RandomChoice
+
+        bound = engine_module._SOLUTION_CACHE_SIZE
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        kept = engine.solve("tie_breaking")
+        for seed in range(bound + 3):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))
+            # Reading the default entry keeps it the most recently used.
+            hits = engine.solution_cache_hits
+            engine.query("win", semantics="tie_breaking")
+            engine.query_many(["win(1)"], semantics="tie_breaking")
+            assert engine.solution_cache_hits == hits + 2
+            assert engine.stats()["cached_solutions"] <= bound
+        assert engine.solve("tie_breaking") is kept
+        hits = engine.solution_cache_hits
+        engine.solve("tie_breaking", policy=RandomChoice(0))  # evicted: solved again
+        assert engine.solution_cache_hits == hits
+        assert engine.stats()["cached_solutions"] == bound
+
     def test_identity_repr_options_are_not_cached(self):
         class OpaquePolicy:
             def choose_true_side(self, side0, side1):

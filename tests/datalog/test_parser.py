@@ -103,6 +103,27 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_program("p :- q & r.")
 
+    # Digits outside ASCII: superscripts pass str.isdigit() but not int(),
+    # and other scripts' decimal digits would silently become integers.
+    @pytest.mark.parametrize(
+        "digit",
+        ["²", "³", "¹", "٣", "３"],
+        ids=["super2", "super3", "super1", "arabic_indic3", "fullwidth3"],
+    )
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (parse_program, "move(2, {}1)."),
+            (parse_database, "move(2, {}1)."),
+            (parse_atom, "move(2, {}1)"),
+        ],
+        ids=["program", "database", "atom"],
+    )
+    def test_non_ascii_digit_rejected(self, parse, text, digit):
+        with pytest.raises(ParseError, match="unexpected character") as excinfo:
+            parse(text.format(digit))
+        assert excinfo.value.column == 9
+
 
 class TestParseDatabase:
     def test_facts(self):

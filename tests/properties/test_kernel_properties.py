@@ -17,7 +17,8 @@ random programs, checking after every step:
 
 Random inputs come from both the hypothesis strategies and the library's
 own :mod:`repro.workloads.random_programs` generators (the latter also
-being what the bench pipeline scales up).
+being what the bench pipeline scales up), plus every named workload
+family at small sizes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import ground
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
+from repro.workloads import families
 from repro.workloads.random_programs import random_propositional_program
 
 from tests.properties.strategies import propositional_programs
@@ -228,3 +230,24 @@ def test_relevant_grounding_lockstep(seed):
     )
     gp = ground(program, Database(), mode="relevant")
     _drive_lockstep(gp)
+
+
+FAMILY_CASES = [
+    ("win_move_line", families.win_move_line, 12, "relevant"),
+    ("win_move_cycle", families.win_move_cycle, 13, "relevant"),
+    ("unfounded_tower", families.unfounded_tower, 8, "relevant"),
+    ("negation_tower", families.negation_tower, 8, "relevant"),
+    ("tie_chain", families.tie_chain, 10, "relevant"),
+    ("committee", families.committee, 8, "relevant"),
+    ("grounded_argumentation", families.grounded_argumentation, 13, "relevant"),
+    ("adversarial_scc", families.adversarial_scc, 8, "relevant"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,generator,n,mode", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
+)
+def test_family_lockstep(name, generator, n, mode):
+    """Same differential drive over every named workload family."""
+    program, db = generator(n)
+    _drive_lockstep(ground(program, db, mode=mode))

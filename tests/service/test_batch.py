@@ -5,9 +5,11 @@ import threading
 
 import pytest
 
+from repro.api.engine import BACKENDS, Engine
 from repro.cli import main
 from repro.errors import (
     ReproError,
+    SemanticsError,
     SessionLimitError,
     SolveTimeoutError,
     ValidationError,
@@ -400,7 +402,7 @@ class TestServeCli:
 
 
 class TestBackendField:
-    """Per-request and per-solver kernel backend selection."""
+    """``backend`` is accepted for compatibility and answers never depend on it."""
 
     def test_round_trip_and_validation(self):
         req = BatchRequest.from_obj({"backend": "auto"})
@@ -417,8 +419,6 @@ class TestBackendField:
             BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD, backend="gpu")
 
     def test_request_backend_routes_through_solver(self, tmp_path):
-        from repro.ground.array_state import numpy_available
-
         with BatchSolver(
             tmp_path / "c.rg", program=COMMITTEE, database=MEMBERS, grounding="relevant"
         ) as solver:
@@ -430,12 +430,59 @@ class TestBackendField:
                 ]
             )
         assert python_r["ok"]
-        if numpy_available():
-            assert array_r["ok"]
-            assert array_r["values"] == python_r["values"]
-        else:
-            assert not array_r["ok"]
-            assert "requires numpy" in array_r["error"]
+        assert array_r["ok"]
+        assert array_r["values"] == python_r["values"]
+
+    @pytest.mark.parametrize("semantics", ["well_founded", "tie_breaking", "pure_tie_breaking"])
+    def test_every_accepted_name_answers_alike(self, tmp_path, semantics):
+        atoms = ["in(a)", "in(b)", "out(c)"]
+        names = [None, *BACKENDS]
+        requests = [
+            {"id": i, "semantics": semantics, "atoms": atoms}
+            | ({} if name is None else {"backend": name})
+            for i, name in enumerate(names)
+        ]
+        with BatchSolver(
+            tmp_path / "c.rg", program=COMMITTEE, database=MEMBERS, grounding="relevant"
+        ) as solver:
+            results = solver.solve_many(requests)
+        assert all(r["ok"] for r in results)
+        assert all(r["values"] == results[0]["values"] for r in results)
+        solutions = [
+            Engine(COMMITTEE, MEMBERS, backend=name).solve(semantics, backend=name)
+            for name in names
+        ]
+        assert all(s.true_atoms == solutions[0].true_atoms for s in solutions)
+        assert all(s.undefined_atoms == solutions[0].undefined_atoms for s in solutions)
+
+    def test_engine_rejects_unknown_names(self):
+        with pytest.raises(SemanticsError, match="unknown backend"):
+            Engine(GAME, BOARD, backend="fortran")
+        engine = Engine(GAME, BOARD)
+        engine.solve("tie_breaking")
+        # Checked before the solution cache is consulted.
+        with pytest.raises(SemanticsError, match="unknown kernel backend"):
+            engine.solve("tie_breaking", backend="simd")
+        # Semantics that never took the option still reject it.
+        with pytest.raises(SemanticsError, match="does not accept option"):
+            engine.solve("fitting", backend="python")
+
+    def test_cli_accepts_every_name(self, tmp_path, capsys):
+        program = tmp_path / "game.dl"
+        program.write_text(GAME)
+        db = tmp_path / "board.facts"
+        db.write_text(BOARD)
+        outputs = []
+        for extra in ([], *(["--backend", name] for name in BACKENDS)):
+            main(["run", str(program), "--db", str(db), "--semantics", "wf", *extra])
+            outputs.append(capsys.readouterr().out)
+        assert all(out == outputs[0] for out in outputs)
+        with pytest.raises(SystemExit):
+            main(["run", str(program), "--db", str(db), "--backend", "gpu"])
+
+    def test_backends_tuple_is_stable(self):
+        """The accepted names are part of the wire/CLI surface."""
+        assert BACKENDS == ("python", "array", "auto")
 
     def test_solver_default_backend_applies(self, tmp_path):
         with BatchSolver(
@@ -443,7 +490,7 @@ class TestBackendField:
             program=COMMITTEE,
             database=MEMBERS,
             grounding="relevant",
-            backend="auto",  # tiny program: auto resolves to python
+            backend="auto",
         ) as solver:
             (result,) = solver.solve_many([{"id": 1, "atoms": ["in(a)"]}])
         assert result["ok"] and result["total"]
