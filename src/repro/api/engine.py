@@ -30,7 +30,7 @@ from repro.analysis.structural import StructuralReport, structural_report
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram, apply_facts_delta, ground
-from repro.datalog.parser import parse_atom, parse_database, parse_program
+from repro.datalog.parser import parse_atom, parse_database, parse_program, read_source
 from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
@@ -132,11 +132,12 @@ class Engine:
 
         ``program_path`` / ``db_path`` name Datalog¬ source files parsed
         with :mod:`repro.datalog.parser`; ``kwargs`` pass through to the
-        constructor.  Raises ``OSError`` for unreadable paths and
-        :class:`~repro.errors.ParseError` for invalid source.
+        constructor.  Files are read as UTF-8.  Raises ``OSError`` for
+        unreadable paths and :class:`~repro.errors.ParseError` for invalid
+        source, including bytes that are not UTF-8.
         """
-        program = Path(program_path).read_text()
-        database = Path(db_path).read_text() if db_path else None
+        program = read_source(program_path)
+        database = read_source(db_path) if db_path else None
         return cls(program, database, **kwargs)
 
     # -- the one compile ---------------------------------------------------

@@ -44,6 +44,7 @@ from repro.api.engine import BACKENDS
 from repro.constructions.theorem2 import theorem2_constant_free_variant, theorem2_variant
 from repro.constructions.theorem3 import theorem3_constant_free_variant, theorem3_variant
 from repro.constructions.theorem5 import theorem5_variant
+from repro.datalog.parser import read_source
 from repro.datalog.printer import format_database, format_program
 from repro.errors import ReproError
 from repro.io.dot import ground_graph_dot, program_graph_dot
@@ -344,8 +345,8 @@ def _cmd_serve(args) -> int:
     if not args.artifact and not args.program:
         print("error: serve needs a program file or an existing --artifact", file=sys.stderr)
         return 2
-    program = Path(args.program).read_text() if args.program else None
-    database = Path(args.db).read_text() if args.db else None
+    program = read_source(args.program) if args.program else None
+    database = read_source(args.db) if args.db else None
     with BatchSolver(
         artifact=args.artifact,
         program=program,
@@ -410,8 +411,8 @@ def _cmd_server(args) -> int:
     if not args.artifact and not args.program:
         print("error: server needs a program file or an existing --artifact", file=sys.stderr)
         return 2
-    program = Path(args.program).read_text() if args.program else None
-    database = Path(args.db).read_text() if args.db else None
+    program = read_source(args.program) if args.program else None
+    database = read_source(args.db) if args.db else None
     server = ReproServer(
         args.artifact,
         program=program,

@@ -51,6 +51,17 @@ class Database:
         return db
 
     @classmethod
+    def _from_relations(cls, relations: dict[str, set[tuple[Constant, ...]]]) -> "Database":
+        """Adopt ready relation sets as they are: no copy and no checks.
+
+        The caller guarantees every set is non-empty and holds rows of one
+        arity (the fact scanner of :func:`repro.datalog.parser.parse_database`).
+        """
+        db = cls()
+        db._relations = relations
+        return db
+
+    @classmethod
     def from_dict(cls, relations: Mapping[str, Iterable[Sequence[_Value]]]) -> "Database":
         """Build a database from ``{predicate: [tuple, ...]}``.
 

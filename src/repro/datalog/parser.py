@@ -21,11 +21,24 @@ Lexical rules:
 ``parse_program`` returns a validated :class:`~repro.datalog.program.Program`;
 ``parse_database`` parses a list of ground facts into a
 :class:`~repro.datalog.database.Database`.
+
+Fact files are large and plain, so ``parse_database`` first tries a fast
+path: one compiled regex scans the text fact after fact and fills the
+database's relation sets directly, with no tokens, atoms or rules.  It
+accepts only a conservative subset: ASCII whitespace, ``%``/``#``
+comments between facts, ASCII identifiers starting with a lowercase
+letter (not the word ``not``), ``-?[0-9]+`` integers, strings without
+escapes, and zero-arity facts.  Any text it does not consume whole, and
+any arity clash, goes to the recursive-descent parser, which stays the
+one source of results and errors: both paths give equal databases, and
+every error comes from the general parser.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 from repro.datalog.atoms import Atom, Literal
@@ -223,13 +236,84 @@ def parse_program(source: str) -> Program:
     return Program(parse_rules(source))
 
 
+# The fact scanner.  Each match of ``_FACT`` is the whitespace and comments
+# before one fact plus, optionally, that fact: predicate in group 1, the
+# argument text in group 2 (None for a zero-arity fact).  When no fact
+# follows, the match ends where the scan must stop: at the end of the text
+# on success, else at the first thing the subset does not cover.  Because
+# the trailing fact is optional, the regex never backtracks into the gap,
+# so a failed scan costs one linear pass.
+_WS = r"[ \t\n\r\f\v]*"
+_IDENT = r"(?!not(?![A-Za-z0-9_]))[a-z][A-Za-z0-9_]*"
+_TERM = rf'(?:"[^"]*"|-?[0-9]+|{_IDENT})'
+_FACT = re.compile(
+    r"(?:[ \t\n\r\f\v]|[%#][^\n]*)*"
+    rf"(?:({_IDENT}){_WS}(?:\({_WS}({_TERM}(?:{_WS},{_WS}{_TERM})*){_WS}\){_WS})?\.)?"
+)
+# Term texts inside an argument text ``_FACT`` has already validated: a
+# string is taken whole, so its commas, parentheses and dots stay in it.
+_TERM_TEXT = re.compile(r'"[^"]*"|[-0-9A-Za-z_]+')
+
+
+class _Constants(dict):
+    """Term text → :class:`Constant`, one object per distinct text."""
+
+    def __missing__(self, text: str) -> Constant:
+        if text[0] == '"':
+            value: str | int = text[1:-1]
+        elif text[0] == "-" or text[0] in _DIGITS:
+            value = int(text)
+        else:
+            value = text
+        constant = self[text] = Constant(value)
+        return constant
+
+
+def _scan_facts(source: str) -> Database | None:
+    """The database of ``source`` if the fast subset covers it, else None.
+
+    None means "ask the general parser": the text has something the scan
+    does not consume, or a predicate with two arities.
+    """
+    relations: dict[str, set[tuple[Constant, ...]]] = {}
+    arities: dict[str, int] = {}
+    term_texts = _TERM_TEXT.findall
+    constant = _Constants().__getitem__
+    end = len(source)
+    for match in _FACT.finditer(source):
+        predicate, args = match.groups()
+        if predicate is None:
+            if match.end() == end:
+                break
+            return None
+        row = () if args is None else tuple(map(constant, term_texts(args)))
+        rows = relations.get(predicate)
+        if rows is None:
+            relations[predicate] = {row}
+            arities[predicate] = len(row)
+        elif arities[predicate] == len(row):
+            rows.add(row)
+        else:
+            return None
+    return Database._from_relations(relations)
+
+
 def parse_database(source: str) -> Database:
     """Parse a list of ground facts (``p(a, 1). q.``) into a :class:`Database`.
+
+    Plain fact text takes the regex fast path; anything else is parsed,
+    and any error raised, by the general parser.
 
     >>> db = parse_database("edge(1, 2). edge(2, 3). start(1).")
     >>> len(db)
     3
     """
+    db = _scan_facts(source)
+    return db if db is not None else _parse_database_general(source)
+
+
+def _parse_database_general(source: str) -> Database:
+    """``parse_database`` through the recursive-descent parser alone."""
     rules = parse_rules(source)
     db = Database()
     for r in rules:
@@ -239,6 +323,23 @@ def parse_database(source: str) -> Database:
             raise ParseError(f"database fact {r.head} is not ground")
         db.add_atom(r.head)
     return db
+
+
+def read_source(path: str | Path) -> str:
+    """The text of a program, fact or request file, read as UTF-8.
+
+    Line endings are normalised to ``\\n`` as :meth:`Path.read_text` does.
+    Bytes that are not UTF-8 raise :class:`ParseError` naming the file
+    and the byte offset; an unreadable path raises ``OSError``.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ParseError(
+            f"{path}: not valid UTF-8 (byte 0x{raw[error.start]:02x} at offset {error.start})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_atom(source: str) -> Atom:

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.api.engine import BACKENDS, Engine
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode
-from repro.datalog.parser import parse_atom, parse_database, parse_program
+from repro.datalog.parser import parse_atom, parse_database, parse_program, read_source
 from repro.datalog.program import Program
 from repro.errors import ReproError, SessionLimitError, SolveTimeoutError, ValidationError
 from repro.io.artifact import program_fingerprint, read_artifact_header
@@ -243,7 +243,7 @@ def read_requests(source: str | Path | Iterable[str]) -> list[BatchRequest | Val
         error.request_id = request_id
         return error
 
-    lines = Path(source).read_text().splitlines() if isinstance(source, (str, Path)) else source
+    lines = read_source(source).splitlines() if isinstance(source, (str, Path)) else source
     out: list[BatchRequest | ValidationError] = []
     index = 0
     for lineno, line in enumerate(lines, start=1):

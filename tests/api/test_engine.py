@@ -8,7 +8,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.grounding import GroundIndex, ground
 from repro.datalog.terms import Constant
 from repro.datalog.parser import parse_database, parse_program
-from repro.errors import SemanticsError
+from repro.errors import ParseError, SemanticsError
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
 DRAW_DB = "move(1, 2). move(2, 1)."
@@ -290,6 +290,24 @@ class TestAnalysisSurface:
         db.write_text(DRAW_DB)
         engine = Engine.from_files(prog, db)
         assert engine.solve("tie_breaking").total
+
+    def test_from_files_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        prog = tmp_path / "p.dl"
+        prog.write_text(WIN_MOVE)
+        db = tmp_path / "d.dl"
+        db.write_bytes(b"move(1, 2).\nmove(2, \xff).\n")
+        with pytest.raises(ParseError, match=r"d\.dl: not valid UTF-8 \(byte 0xff at offset 20\)"):
+            Engine.from_files(prog, db)
+        with pytest.raises(ParseError, match=r"d\.dl: not valid UTF-8"):
+            Engine.from_files(db)
+
+    def test_from_files_reads_utf8(self, tmp_path):
+        prog = tmp_path / "p.dl"
+        prog.write_text(WIN_MOVE)
+        db = tmp_path / "d.dl"
+        db.write_bytes('move("café", "thé").\r\n'.encode("utf-8"))
+        engine = Engine.from_files(prog, db)
+        assert engine.database.contains("move", "café", "thé")
 
 
 class TestModuleLevelHelpers:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.atoms import Atom, Literal, atom, neg, pos
+from repro.datalog.atoms import Atom, atom, neg, pos
 from repro.datalog.terms import Constant, Variable
 
 

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.datalog.atoms import atom, neg
+from repro.datalog.atoms import atom
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.printer import format_program
-from repro.datalog.rules import rule
 from repro.datalog.terms import Constant, Variable
 from repro.errors import ParseError
 

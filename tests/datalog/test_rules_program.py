@@ -4,7 +4,7 @@ import pytest
 
 from repro.datalog.atoms import Atom, atom, neg, pos
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule, rule
+from repro.datalog.rules import rule
 from repro.datalog.terms import Constant, Variable
 from repro.errors import ArityError
 

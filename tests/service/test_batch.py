@@ -8,6 +8,7 @@ import pytest
 from repro.api.engine import BACKENDS, Engine
 from repro.cli import main
 from repro.errors import (
+    ParseError,
     ReproError,
     SemanticsError,
     SessionLimitError,
@@ -86,6 +87,16 @@ class TestReadRequests:
         path = tmp_path / "requests.jsonl"
         path.write_text('{"id": 1}\n{"id": 2}\n')
         assert [r.id for r in read_requests(path)] == [1, 2]
+
+    def test_request_file_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "requests.jsonl"
+        path.write_bytes(b'{"id": 1}\n{"id": "\xc3("}\n')
+        with pytest.raises(ParseError, match=r"requests\.jsonl: not valid UTF-8 .*offset 18"):
+            read_requests(path)
+        program = tmp_path / "game.dl"
+        program.write_text(GAME)
+        assert main(["serve", str(program), "--batch", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8")
 
 
 class TestBatchSolverInline:

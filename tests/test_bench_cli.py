@@ -186,6 +186,7 @@ class TestRunBench:
         assert set(record["throughput"]) == {"win_move_line", "committee"}
         for fam in record["throughput"].values():
             assert fam["cold_start_s"] > 0
+            assert 0 < fam["cold_parse_s"] <= fam["cold_start_s"]
             assert fam["warm_start_s"] > 0
             assert fam["warm_speedup"] > 0
             assert fam["artifact_bytes"] > 0

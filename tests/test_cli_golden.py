@@ -122,6 +122,13 @@ class TestRunRegistrySemantics:
         assert main(["run", prog[0], "--semantics", "bogus"]) == 2
         assert "unknown semantics" in capsys.readouterr().err
 
+    def test_run_db_not_utf8_exit_2(self, prog, tmp_path, capsys):
+        bad = tmp_path / "bad.dl"
+        bad.write_bytes(b"e(a).\xff\n")
+        assert main(["run", prog[0], "--db", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {bad}: not valid UTF-8 (byte 0xff at offset 5)"]
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_json_envelope_and_solution_schema(name, tmp_path, capsys):
